@@ -212,7 +212,8 @@ def voltage_decode_latency(
     Phase names, kinds and step structure match ``run_decode`` exactly —
     the verify harness compares the two phase-by-phase.
     """
-    from repro.systems.decode import decode_step_pricing, decode_step_totals
+    from repro.models.greedy import forward_shapes
+    from repro.systems.decode import decode_step_pricing
 
     sim = ClusterSim(cluster)
     k = cluster.num_devices
@@ -227,11 +228,10 @@ def voltage_decode_latency(
     latency = LatencyBreakdown()
     latency.add("broadcast prompt", "comm", sim.broadcast(8 * prompt_len))
 
-    totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions)
-    for step_index, total in enumerate(totals):
-        added = prompt_len if step_index == 0 else 1
+    shapes = forward_shapes(prompt_len, max_new_tokens, config.max_positions)
+    for step_index, (added, offset) in enumerate(shapes):
         per_rank_flops, layer_collectives, _ = decode_step_pricing(
-            config, layer_parts, added, total,
+            config, layer_parts, added, offset + added,
             attention=attention, stats_itemsize=stats_itemsize,
         )
         compute_s = sim.compute_makespan([flops + post_flops for flops in per_rank_flops])

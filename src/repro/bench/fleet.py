@@ -130,7 +130,7 @@ def run_fleet_sweep(quick: bool = False, seed: int = 0, trace_ref: str = "diurna
         tier_meta.append(meta)
 
     full = tiers[0]
-    service_s = full.request_cost(_REF_PROMPT, _MAX_NEW)
+    service_s = full.request_cost(_REF_PROMPT, _MAX_NEW, model_config.max_positions)
     trace = build_trace(trace_ref, seed=seed, quick=quick)
     scaled = trace.rescaled(service_s)
 
@@ -181,7 +181,8 @@ def run_fleet_sweep(quick: bool = False, seed: int = 0, trace_ref: str = "diurna
         else build_trace("diurnal", seed=seed, quick=quick).rescaled(service_s)
     )
     slo_s = 8.0 * service_s  # the diurnal trace's SLO budget, rescaled
-    worst_service_s = full.request_cost(12, _MAX_NEW)  # diurnal prompts are 4..12
+    # diurnal prompts are 4..12
+    worst_service_s = full.request_cost(12, _MAX_NEW, model_config.max_positions)
     bound_s = slo_s + _NUM_SLOTS * worst_service_s
 
     def demo_run(autoscaled: bool) -> FleetReport:
@@ -258,7 +259,7 @@ def run_single_fleet(
         for tier in tiers
     }
     full = tiers[0]
-    service_s = full.request_cost(_REF_PROMPT, _MAX_NEW)
+    service_s = full.request_cost(_REF_PROMPT, _MAX_NEW, model_config.max_positions)
     trace = build_trace(trace_ref, seed=seed, quick=quick).rescaled(service_s)
 
     def factory(tier):

@@ -50,6 +50,7 @@ from repro.engine import (
     SpeculativeSequencer,
     VirtualClock,
 )
+from repro.engine.clock import request_cost, step_cost
 from repro.serving.arrivals import Request, poisson_arrivals
 
 __all__ = [
@@ -70,33 +71,6 @@ LATENCY_FACTOR = 1.25
 SHED_RATE_TOLERANCE = 0.05
 THROUGHPUT_FACTOR = 1.25
 RATE_TOLERANCE = 0.1  # acceptance / prefix-hit rate drift vs baseline
-
-#: Analytic per-forward virtual cost (seconds): a fixed launch overhead, a
-#: per-new-position projection term, and a per-cached-position attention term.
-_BASE_S = 5e-3
-_PER_POSITION_S = 1.5e-3
-_PER_CACHED_S = 2e-5
-
-
-def step_cost(new_positions: int, cache_len: int) -> float:
-    """Deterministic virtual seconds for one engine token step."""
-    return _BASE_S + _PER_POSITION_S * new_positions + _PER_CACHED_S * cache_len
-
-
-def request_cost(prompt_len: int, max_new_tokens: int) -> float:
-    """Total virtual service seconds of one request, prefill included.
-
-    Mirrors the sequencer's forward sequence exactly: one prefill over the
-    prompt, then ``max_new_tokens - 1`` single-position decode forwards
-    (the final token is appended without a forward).
-    """
-    total = step_cost(prompt_len, 0)
-    length = prompt_len
-    for _ in range(max(max_new_tokens - 1, 0)):
-        length += 1
-        total += step_cost(1, length - 1)
-    return total
-
 
 def _serve_model(quick: bool):
     from repro.models import GPT2Model
@@ -136,13 +110,14 @@ def run_serve_sweep(quick: bool = False, seed: int = 0) -> dict:
     """Run the offered-load sweep plus the overload demo; returns one mode's
     report payload (deterministic for a given ``quick``/``seed``)."""
     model = _serve_model(quick)
+    max_positions = model.config.max_positions
     max_new = 8
     prompt_tokens = (4, 12)
     num_requests = 48 if quick else 120
     num_slots = 4
     mean_prompt = sum(prompt_tokens) / 2
-    service_s = request_cost(int(mean_prompt), max_new)
-    worst_service_s = request_cost(prompt_tokens[1], max_new)
+    service_s = request_cost(int(mean_prompt), max_new, max_positions)
+    worst_service_s = request_cost(prompt_tokens[1], max_new, max_positions)
     capacity_rps = 1.0 / service_s
     slo_s = 8 * service_s
 
@@ -155,7 +130,7 @@ def run_serve_sweep(quick: bool = False, seed: int = 0) -> dict:
             max_queue=3 * num_slots if shedding else None,
             shed_on_deadline=shedding,
             service_estimate=(
-                (lambda r: request_cost(r.n, max_new)) if shedding else None
+                (lambda r: request_cost(r.n, max_new, max_positions)) if shedding else None
             ),
         )
         return InferenceEngine(sequencer, config, clock=VirtualClock())
@@ -247,13 +222,14 @@ def run_speculative_comparison(quick: bool = False, seed: int = 0) -> dict:
     from repro.fleet.traces import build_trace
 
     model = _serve_model(quick)
+    max_positions = model.config.max_positions
     max_new = 8
     num_slots = 4
     lookahead = 4
     shared_prefix = 12  # tenant system-prompt length, < min prompt - 2
     trace = build_trace("shared-prefix", seed=seed, quick=quick)
     mean_prompt = sum(r.n for r in trace.requests) / len(trace.requests)
-    service_s = request_cost(int(mean_prompt), max_new)
+    service_s = request_cost(int(mean_prompt), max_new, max_positions)
     # trace rate is 0.9 req/unit; one unit -> 0.1 service times ~= 9x capacity
     trace = trace.rescaled(0.1 * service_s)
     requests = list(trace.requests)

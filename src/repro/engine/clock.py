@@ -24,7 +24,31 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["VirtualClock", "WallClock"]
+from repro.models.greedy import forward_shapes
+
+__all__ = ["VirtualClock", "WallClock", "request_cost", "step_cost"]
+
+#: Analytic per-forward virtual cost (seconds): a fixed launch overhead, a
+#: per-new-position projection term, and a per-cached-position attention term.
+_BASE_S = 5e-3
+_PER_POSITION_S = 1.5e-3
+_PER_CACHED_S = 2e-5
+
+
+def step_cost(new_positions: int, cache_len: int) -> float:
+    """Deterministic virtual seconds for one engine token step."""
+    return _BASE_S + _PER_POSITION_S * new_positions + _PER_CACHED_S * cache_len
+
+
+def request_cost(
+    prompt_len: int, max_new_tokens: int, max_positions: int, step=step_cost
+) -> float:
+    """Total virtual service seconds of one request, prefill included:
+    ``step`` summed over the forwards the greedy state machine runs
+    (:func:`~repro.models.greedy.forward_shapes`), for the prompt clipped
+    to ``max_positions`` exactly as the sequencers clip it."""
+    shapes = forward_shapes(min(prompt_len, max_positions), max_new_tokens, max_positions)
+    return sum(step(new, offset) for new, offset in shapes)
 
 
 class VirtualClock:

@@ -11,14 +11,15 @@ contract is a tiny state machine:
   measured wall time", the right default under a wall clock);
 - ``result(state)`` is the finished request's output.
 
-Two implementations:
+Three implementations:
 
 - :class:`GPT2CachedSequencer` — greedy KV-cached decoding, *bit-identical*
   to :meth:`repro.models.gpt2.GPT2Model.generate_cached` for the same
-  prompt: every forward it runs is literally the same op sequence
-  (embedding add, ``layer_forward_cached`` per layer, final-norm LM head),
-  against the slot's caches instead of a private one.  Buffer capacity is
-  the only difference, and capacity never changes values.  This is what
+  prompt: each engine step is one step of the
+  :class:`~repro.models.greedy.GreedyDecode` state machine that
+  ``generate_cached`` runs to completion, over the same forward against
+  the slot's caches instead of a private one.  Buffer capacity is the only
+  difference, and capacity never changes values.  This is what
   makes the engine's soak guarantee provable: interleaving, preemption and
   restart permute *which* step runs next, never what a step computes.
 - :class:`VoltageForwardSequencer` — the paper's serving workload: one
@@ -26,6 +27,9 @@ Two implementations:
   (:meth:`VoltageSystem.execute_threaded`), done in a single step.  The
   slot carries no KV state (``num_layers == 0``); the pool purely bounds
   how many distributed forwards may be in flight.
+- :class:`VoltageDecodeSequencer` — the same greedy state machine as
+  :class:`GPT2CachedSequencer`, its forwards run by resident ranks over a
+  position-sharded KV cache (:class:`DecodeSession`).
 
 A preempted request is simply re-``begin``-ed later: greedy decoding is
 deterministic, so recomputing from the prompt reproduces the discarded
@@ -43,9 +47,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine.slots import KVSlot
+from repro.models.greedy import GreedyDecode, cached_forward
 from repro.obs.metrics import get_registry
 from repro.serving.arrivals import Request
-from repro.engine.slots import KVSlot
 
 __all__ = ["DecodeSession", "GPT2CachedSequencer", "VoltageDecodeSequencer", "VoltageForwardSequencer"]
 
@@ -99,33 +104,36 @@ def _synthetic_prompt(
     return np.concatenate([prefix, suffix[prefix_len:]])
 
 
-@dataclass
-class _DecodeState:
-    """One in-flight greedy decode bound to a KV slot."""
+class _DecodeState(GreedyDecode):
+    """One in-flight greedy decode bound to a slot and to the backend that
+    runs its forwards."""
 
-    request: Request
-    slot: KVSlot
-    ids: list[int]
-    prompt_len: int
-    next_id: int | None = None
-    emitted: int = 0
-    prefilled: bool = False
-    done: bool = False
-    cached_prefix: int = 0  # prompt rows seeded from the prefix cache
+    def __init__(
+        self, request: Request, slot: KVSlot, forward, prompt, max_new_tokens: int,
+        max_positions: int, cached_prefix: int = 0,
+    ):
+        super().__init__(prompt, max_new_tokens, max_positions, cached_prefix)
+        self.request = request
+        self.slot = slot
+        self.forward = forward
 
 
-class GPT2CachedSequencer:
-    """Token-step greedy decoding over slot-owned KV caches."""
+class _GreedySequencer:
+    """What the greedy decode sequencers share: synthetic prompts, the
+    offline reference, and the step — one :meth:`GreedyDecode.step` of the
+    request's state over its backend, priced by the shape of the forward
+    it ran.  Subclasses supply ``begin`` (which binds the backend)."""
 
-    #: The engine's prefix cache may hand this sequencer pre-seeded prompt
-    #: rows (``begin(..., cached_prefix=k)``); Voltage sequencers keep KV
-    #: state rank-side and opt out.
-    supports_prefix_cache = True
+    #: The engine's prefix cache may hand a sequencer pre-seeded prompt rows
+    #: (``begin(..., cached_prefix=k)``) only when it opts in.
+    supports_prefix_cache = False
+    #: Tenant-tagged prompts open with this many tenant-keyed common ids.
+    shared_prefix_tokens = 0
     #: A cached-prefix match leaves at least this many prompt positions to
     #: re-prefill, keeping the suffix forward a multi-row batched GEMM —
     #: batch rows are bit-stable across batch shapes, single GEMV rows are
     #: not (INTERNALS §16), and bit-identity to ``generate_cached`` rides
-    #: on exactly that.
+    #: on exactly that.  Synthetic prompts keep this many ids request-unique.
     min_prefill_suffix = 2
 
     def __init__(
@@ -134,37 +142,17 @@ class GPT2CachedSequencer:
         max_new_tokens: int = 8,
         step_cost: Callable[[int, int], float] | None = None,
         prompt_seed: int = 0,
-        shared_prefix_tokens: int = 0,
     ):
-        """``step_cost(new_positions, cache_len_before)`` supplies the
-        deterministic virtual-time cost of one forward; leave None to charge
-        measured wall time (wall-clock serving).  ``prompt_seed`` namespaces
-        the synthetic prompts :meth:`prompt_for` derives from request ids;
-        ``shared_prefix_tokens > 0`` opens every tenant-tagged request's
-        prompt with that many tenant-keyed common tokens (the prefix-cache
-        workload shape).
-        """
         if max_new_tokens < 0:
             raise ValueError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
-        if shared_prefix_tokens < 0:
-            raise ValueError(
-                f"shared_prefix_tokens must be >= 0, got {shared_prefix_tokens}"
-            )
         self.model = model
         self.max_new_tokens = max_new_tokens
         self.step_cost = step_cost
         self.prompt_seed = prompt_seed
-        self.shared_prefix_tokens = shared_prefix_tokens
         #: request id -> (requested n, clipped n) for prompts that exceeded
         #: the model's position budget (also counted on
         #: ``engine.prompt_truncated_total``).
         self.truncated_prompts: dict[int, tuple[int, int]] = {}
-
-    # -- slot geometry the engine builds its pool from -------------------------
-
-    @property
-    def num_layers(self) -> int:
-        return self.model.num_layers
 
     @property
     def slot_capacity(self) -> int:
@@ -196,6 +184,62 @@ class GPT2CachedSequencer:
 
     # -- the state machine -----------------------------------------------------
 
+    def step(self, state: _DecodeState) -> tuple[bool, float | None]:
+        if state.done:
+            raise ValueError(f"request {state.request.id} already finished")
+        shape = state.step(state.forward)
+        if state.done:
+            self._release(state)
+        return state.done, self._cost(shape)
+
+    def _release(self, state: _DecodeState) -> None:
+        """Drop backend-side state once a decode finishes."""
+
+    def _cost(self, shape: tuple[int, int] | None) -> float | None:
+        """Virtual cost of a forward of ``(new_positions, cache_len)``; a
+        commit-only step (``shape`` None) is free."""
+        if self.step_cost is None:
+            return None
+        return 0.0 if shape is None else self.step_cost(*shape)
+
+    def result(self, state: _DecodeState) -> np.ndarray:
+        if not state.done:
+            raise ValueError(f"request {state.request.id} is still decoding")
+        return np.asarray(state.ids, dtype=np.int64)
+
+
+class GPT2CachedSequencer(_GreedySequencer):
+    """Token-step greedy decoding over slot-owned KV caches."""
+
+    supports_prefix_cache = True
+
+    def __init__(
+        self,
+        model,
+        max_new_tokens: int = 8,
+        step_cost: Callable[[int, int], float] | None = None,
+        prompt_seed: int = 0,
+        shared_prefix_tokens: int = 0,
+    ):
+        """``step_cost(new_positions, cache_len_before)`` supplies the
+        deterministic virtual-time cost of one forward; leave None to charge
+        measured wall time (wall-clock serving).  ``prompt_seed`` namespaces
+        the synthetic prompts :meth:`prompt_for` derives from request ids;
+        ``shared_prefix_tokens > 0`` opens every tenant-tagged request's
+        prompt with that many tenant-keyed common tokens (the prefix-cache
+        workload shape).
+        """
+        super().__init__(model, max_new_tokens, step_cost, prompt_seed)
+        if shared_prefix_tokens < 0:
+            raise ValueError(
+                f"shared_prefix_tokens must be >= 0, got {shared_prefix_tokens}"
+            )
+        self.shared_prefix_tokens = shared_prefix_tokens
+
+    @property
+    def num_layers(self) -> int:
+        return self.model.num_layers
+
     def begin(
         self,
         request: Request,
@@ -212,28 +256,22 @@ class GPT2CachedSequencer:
                 f"slot {slot.index} was handed over dirty "
                 f"(length {slot.length}, expected {cached_prefix} cached-prefix rows)"
             )
-        prompt = np.asarray(prompt)
-        if prompt.ndim != 1 or prompt.size < 1:
-            raise ValueError(f"prompt must be a non-empty 1-D id array, got {prompt.shape}")
-        if prompt.size > self.model.config.max_positions:
-            raise ValueError(
-                f"prompt of {prompt.size} tokens exceeds max_positions "
-                f"{self.model.config.max_positions}"
-            )
+        # every forward is model.logits_cached against the slot's caches —
+        # generate_cached's backend with a different (never value-changing)
+        # buffer capacity
+        forward = cached_forward(self.model, slot.caches, slot.workspace)
+        state = _DecodeState(
+            request, slot, forward, prompt, self.max_new_tokens,
+            self.model.config.max_positions, cached_prefix,
+        )
         if cached_prefix < 0 or (
-            cached_prefix > 0 and cached_prefix > prompt.size - self.min_prefill_suffix
+            cached_prefix > 0 and cached_prefix > state.prompt_len - self.min_prefill_suffix
         ):
             raise ValueError(
                 f"cached_prefix {cached_prefix} must leave >= {self.min_prefill_suffix} "
-                f"prompt positions of a {prompt.size}-token prompt to prefill"
+                f"prompt positions of a {state.prompt_len}-token prompt to prefill"
             )
-        return _DecodeState(
-            request=request,
-            slot=slot,
-            ids=[int(t) for t in prompt],
-            prompt_len=prompt.size,
-            cached_prefix=cached_prefix,
-        )
+        return state
 
     def cache_key(self, state: _DecodeState) -> tuple[int, ...] | None:
         """The token ids whose slot rows are safe to retain for the prefix
@@ -244,56 +282,6 @@ class GPT2CachedSequencer:
         if length < self.min_prefill_suffix:
             return None
         return tuple(state.ids[:length])
-
-    def _forward(
-        self, state: _DecodeState, new_ids: list[int], offset: int, all_positions: bool = False
-    ) -> np.ndarray:
-        """One model forward over the new positions — the exact op sequence of
-        ``generate_cached``'s inner ``step``, against the slot's caches —
-        returning LM-head logits (all positions' when ``all_positions``,
-        for speculative verify; the last position's otherwise)."""
-        return self.model.logits_cached(
-            new_ids,
-            offset,
-            state.slot.caches,
-            workspace=state.slot.workspace,
-            all_positions=all_positions,
-        )
-
-    def step(self, state: _DecodeState) -> tuple[bool, float | None]:
-        if state.done:
-            raise ValueError(f"request {state.request.id} already finished")
-        max_positions = self.model.config.max_positions
-        if not state.prefilled:
-            new = state.ids[state.cached_prefix:]
-            cost = self._cost(len(new), state.cached_prefix)
-            state.next_id = int(np.argmax(self._forward(state, new, state.cached_prefix)))
-            state.prefilled = True
-            if self.max_new_tokens == 0 or len(state.ids) >= max_positions:
-                state.done = True
-            return state.done, cost
-        # one iteration of generate_cached's greedy loop: append the pending
-        # token, then (unless finished) project it through the cache
-        state.ids.append(state.next_id)
-        state.emitted += 1
-        if state.emitted >= self.max_new_tokens or len(state.ids) >= max_positions:
-            state.done = True
-            return True, 0.0 if self.step_cost is not None else None
-        cost = self._cost(1, len(state.ids) - 1)
-        state.next_id = int(
-            np.argmax(self._forward(state, [state.ids[-1]], len(state.ids) - 1))
-        )
-        return False, cost
-
-    def _cost(self, new_positions: int, cache_len: int) -> float | None:
-        if self.step_cost is None:
-            return None
-        return self.step_cost(new_positions, cache_len)
-
-    def result(self, state: _DecodeState) -> np.ndarray:
-        if not state.done:
-            raise ValueError(f"request {state.request.id} is still decoding")
-        return np.asarray(state.ids, dtype=np.int64)
 
 
 @dataclass
@@ -389,12 +377,9 @@ class DecodeSession:
 
     def __init__(self, system, runtime=None, timeout: float = 60.0, attention: str = "gathered"):
         from repro.cluster.process_runtime import ProcessRuntime, resolve_runtime
-        from repro.core.complexity import DECODE_ATTENTION_MODES
+        from repro.core.complexity import decode_mode_cost
 
-        if attention not in DECODE_ATTENTION_MODES:
-            raise ValueError(
-                f"attention must be one of {DECODE_ATTENTION_MODES}, got {attention!r}"
-            )
+        decode_mode_cost(attention)  # rejects unknown modes
         self.system = system
         self.k = system.k
         self.timeout = timeout
@@ -418,28 +403,14 @@ class DecodeSession:
     # -- lifecycle -------------------------------------------------------------
 
     def _serve(self) -> None:
-        from repro.systems.decode import (
-            decode_layer_spans,
-            decode_stats_wire,
-            fresh_shards,
-            sharded_decode_step,
-        )
-        from repro.tensor.workspace import Workspace
+        from repro.systems.decode import decode_layer_spans, rank_forward
 
         system = self.system
         attention = self.attention
-        stats_dtype, _ = decode_stats_wire(system.wire_dtype)
         commands, replies = self._commands, self._replies
 
         def worker(ctx):
-            sessions: dict[int, tuple] = {}
-
-            def gather_kv(k_shard, v_shard):
-                return ctx.all_gather(k_shard, axis=1), ctx.all_gather(v_shard, axis=1)
-
-            def gather_stats(packed):
-                wire = packed.astype(stats_dtype, copy=False)
-                return ctx.all_gather(wire[None], axis=0).astype(np.float32)
+            forwards: dict[int, Callable] = {}  # slot -> this rank's backend
 
             while True:
                 command = commands[ctx.rank].get()
@@ -447,24 +418,15 @@ class DecodeSession:
                 try:
                     if op == "begin":
                         _, slot, capacity = command
-                        layer_parts = decode_layer_spans(system, capacity)
-                        sessions[slot] = (
-                            layer_parts,
-                            fresh_shards(layer_parts, ctx.rank),
-                            Workspace(),
+                        forwards[slot] = rank_forward(
+                            ctx, system, decode_layer_spans(system, capacity), attention
                         )
                         reply = ("ok", None)
                     elif op == "forward":
                         _, slot, new_ids, offset = command
-                        layer_parts, shards, workspace = sessions[slot]
-                        next_id = sharded_decode_step(
-                            system.model, layer_parts, shards, ctx.rank,
-                            new_ids, offset, gather_kv, workspace=workspace,
-                            attention=attention, gather_stats=gather_stats,
-                        )
-                        reply = ("ok", next_id)
+                        reply = ("ok", forwards[slot](new_ids, offset))
                     elif op == "release":
-                        sessions.pop(command[1], None)
+                        forwards.pop(command[1], None)
                         reply = ("ok", None)
                     elif op == "shutdown":
                         replies[ctx.rank].put(("ok", None))
@@ -544,7 +506,7 @@ class DecodeSession:
         self.close()
 
 
-class VoltageDecodeSequencer:
+class VoltageDecodeSequencer(_GreedySequencer):
     """Distributed greedy decoding with a position-sharded KV cache.
 
     The engine-facing contract matches :class:`GPT2CachedSequencer` (same
@@ -578,22 +540,12 @@ class VoltageDecodeSequencer:
         ``generate_cached``) or ``"distributed"`` (local-shard attention
         with the log-sum-exp combine — exact up to float tolerance, per-step
         wire volume flat in the sequence length)."""
-        if max_new_tokens < 0:
-            raise ValueError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
+        super().__init__(system.model, max_new_tokens, step_cost, prompt_seed)
         self.system = system
-        self.model = system.model
-        self.max_new_tokens = max_new_tokens
-        self.step_cost = step_cost
-        self.prompt_seed = prompt_seed
         self.runtime = runtime
         self.session_timeout = session_timeout
         self.attention = attention
-        self.truncated_prompts: dict[int, tuple[int, int]] = {}
         self._session: DecodeSession | None = None
-
-    @property
-    def slot_capacity(self) -> int:
-        return self.model.config.max_positions
 
     def session(self) -> DecodeSession:
         """The resident rank pool, started on first use."""
@@ -615,69 +567,17 @@ class VoltageDecodeSequencer:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- prompts (same derivation as GPT2CachedSequencer) ----------------------
-
-    def prompt_for(self, request: Request) -> np.ndarray:
-        return _synthetic_prompt(
-            request,
-            self.model.config.max_positions,
-            self.model.config.vocab_size,
-            self.prompt_seed,
-            self.truncated_prompts,
-        )
-
-    def offline_reference(self, request: Request, prompt: np.ndarray | None = None) -> np.ndarray:
-        prompt = prompt if prompt is not None else self.prompt_for(request)
-        return self.model.generate_cached(prompt, max_new_tokens=self.max_new_tokens)
-
-    # -- the state machine -----------------------------------------------------
-
     def begin(self, request: Request, prompt: np.ndarray, slot: KVSlot) -> _DecodeState:
-        from repro.systems.decode import decode_capacity
+        index = slot.index
 
-        prompt = np.asarray(prompt)
-        if prompt.ndim != 1 or prompt.size < 1:
-            raise ValueError(f"prompt must be a non-empty 1-D id array, got {prompt.shape}")
-        if prompt.size > self.model.config.max_positions:
-            raise ValueError(
-                f"prompt of {prompt.size} tokens exceeds max_positions "
-                f"{self.model.config.max_positions}"
-            )
-        capacity = decode_capacity(self.model, prompt.size, self.max_new_tokens)
-        self.session().begin(slot.index, capacity)
-        return _DecodeState(
-            request=request, slot=slot, ids=[int(t) for t in prompt], prompt_len=prompt.size
+        def forward(new_ids, offset):
+            return self.session().forward(index, new_ids, offset)
+
+        state = _DecodeState(
+            request, slot, forward, prompt, self.max_new_tokens, self.model.config.max_positions
         )
+        self.session().begin(index, state.capacity)
+        return state
 
-    def step(self, state: _DecodeState) -> tuple[bool, float | None]:
-        if state.done:
-            raise ValueError(f"request {state.request.id} already finished")
-        max_positions = self.model.config.max_positions
-        session = self.session()
-        if not state.prefilled:
-            cost = self._cost(len(state.ids), 0)
-            state.next_id = session.forward(state.slot.index, state.ids, 0)
-            state.prefilled = True
-            if self.max_new_tokens == 0 or len(state.ids) >= max_positions:
-                state.done = True
-                session.release(state.slot.index)
-            return state.done, cost
-        state.ids.append(state.next_id)
-        state.emitted += 1
-        if state.emitted >= self.max_new_tokens or len(state.ids) >= max_positions:
-            state.done = True
-            session.release(state.slot.index)
-            return True, 0.0 if self.step_cost is not None else None
-        cost = self._cost(1, len(state.ids) - 1)
-        state.next_id = session.forward(state.slot.index, [state.ids[-1]], len(state.ids) - 1)
-        return False, cost
-
-    def _cost(self, new_positions: int, cache_len: int) -> float | None:
-        if self.step_cost is None:
-            return None
-        return self.step_cost(new_positions, cache_len)
-
-    def result(self, state: _DecodeState) -> np.ndarray:
-        if not state.done:
-            raise ValueError(f"request {state.request.id} is still decoding")
-        return np.asarray(state.ids, dtype=np.int64)
+    def _release(self, state: _DecodeState) -> None:
+        self.session().release(state.slot.index)

@@ -206,11 +206,6 @@ class DraftModelProposer:
         return drafts
 
 
-@dataclass
-class _SpecDecodeState(_DecodeState):
-    draft: object = None  # proposer-owned per-request state
-
-
 class SpeculativeSequencer(GPT2CachedSequencer):
     """Greedy decoding where each engine step is one draft–verify round.
 
@@ -237,57 +232,43 @@ class SpeculativeSequencer(GPT2CachedSequencer):
         prompt: np.ndarray,
         slot: KVSlot,
         cached_prefix: int = 0,
-    ) -> _SpecDecodeState:
-        base = super().begin(request, prompt, slot, cached_prefix=cached_prefix)
-        state = _SpecDecodeState(**base.__dict__)
-        state.draft = self.proposer.begin(state.ids)
+    ) -> _DecodeState:
+        state = super().begin(request, prompt, slot, cached_prefix=cached_prefix)
+        state.draft = self.proposer.begin(state.ids)  # proposer-owned per-request state
         return state
 
-    def step(self, state: _SpecDecodeState) -> tuple[bool, float | None]:
+    def step(self, state: _DecodeState) -> tuple[bool, float | None]:
         if not state.prefilled or state.done:
             return super().step(state)  # prefill (or the finished-state error)
-        max_positions = self.model.config.max_positions
         stats = self.stats
         ids = state.ids
-        # commit the pending token — one iteration of generate_cached's loop
-        ids.append(state.next_id)
-        state.emitted += 1
+        # commit the pending token — the base step's commit, same budget rules
         stats.emitted += 1
-        if state.emitted >= self.max_new_tokens or len(ids) >= max_positions:
-            state.done = True
-            return True, 0.0 if self.step_cost is not None else None
-        # budget: never draft past max_new (the final pending token is always
+        if state.commit():
+            return True, self._cost(None)
+        # never draft past max_new (the final pending token is always
         # committed without a forward, exactly like the base loop) or past
         # the model's position budget
-        budget = min(
-            self.lookahead,
-            self.max_new_tokens - state.emitted - 1,
-            max_positions - len(ids),
-        )
+        budget = min(self.lookahead, state.accept_budget())
         draft = (
             [int(t) for t in self.proposer.propose(state.draft, ids, budget)][:budget]
             if budget > 0
             else []
         )
         cache_len = len(ids) - 1  # rows the slot holds entering the round
-        cost = self._cost(1 + len(draft), cache_len)
+        cost = self._cost((1 + len(draft), cache_len))
         if draft:
-            logits = self._forward(state, [ids[-1]] + draft, cache_len, all_positions=True)
-            guesses = np.argmax(logits, axis=-1)
+            guesses = state.forward([ids[-1]] + draft, cache_len, all_positions=True)
         else:
             # no guesses: run the base sequencer's exact one-position forward
             # (same GEMV head), op-identical to non-speculative decode
-            guesses = np.array(
-                [int(np.argmax(self._forward(state, [ids[-1]], cache_len)))]
-            )
+            guesses = [state.forward(ids[-1:], cache_len)]
         accepted = 0
         while accepted < len(draft) and int(guesses[accepted]) == draft[accepted]:
             accepted += 1
-        ids.extend(draft[:accepted])
-        state.emitted += accepted
+        state.accept(draft[:accepted], int(guesses[accepted]))
         # roll back the rejected rows; rows for accepted tokens stay
         state.slot.truncate(len(ids))
-        state.next_id = int(guesses[accepted])
         stats.forwards += 1
         stats.drafted += len(draft)
         stats.accepted += accepted
@@ -298,8 +279,6 @@ class SpeculativeSequencer(GPT2CachedSequencer):
             registry.counter("engine.speculative.drafted_total").inc(len(draft))
             registry.counter("engine.speculative.accepted_total").inc(accepted)
         get_registry().counter("engine.speculative.forwards_total").inc()
-        if len(ids) >= max_positions:
-            # generate_cached breaks before committing the next pending token
-            state.done = True
-            return True, cost
-        return False, cost
+        # a round that fills max_positions ends without committing its
+        # pending token, exactly where the base loop stops
+        return state.done, cost

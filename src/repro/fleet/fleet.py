@@ -67,7 +67,7 @@ class FleetConfig:
                 f"reference_prompt_len must be >= 1, got {self.reference_prompt_len}"
             )
 
-    def engine_config(self, tier: ReplicaTier) -> EngineConfig:
+    def engine_config(self, tier: ReplicaTier, max_positions: int) -> EngineConfig:
         max_new = self.max_new_tokens
         return EngineConfig(
             num_slots=self.num_slots,
@@ -75,7 +75,7 @@ class FleetConfig:
             policy=self.policy,
             shed_on_deadline=self.shed_on_deadline,
             service_estimate=(
-                (lambda r: tier.request_cost(r.n, max_new))
+                (lambda r: tier.request_cost(r.n, max_new, max_positions))
                 if self.use_service_estimate
                 else None
             ),
@@ -251,9 +251,11 @@ class Fleet:
     def _spawn(self, now: float) -> Replica:
         index = len(self._all)
         tier = self.tiers[index % len(self.tiers)]
+        sequencer = self.sequencer_factory(tier)
+        max_positions = sequencer.slot_capacity
         engine = InferenceEngine(
-            self.sequencer_factory(tier),
-            config=self.config.engine_config(tier),
+            sequencer,
+            config=self.config.engine_config(tier, max_positions),
             clock=VirtualClock(start=now),
             labels={"replica": f"r{index}"},
         )
@@ -263,7 +265,7 @@ class Fleet:
             tier=tier,
             engine=engine,
             service_cost=tier.request_cost(
-                self.config.reference_prompt_len, self.config.max_new_tokens
+                self.config.reference_prompt_len, self.config.max_new_tokens, max_positions
             ),
             spawned_at=now,
         )

@@ -9,7 +9,8 @@ A :class:`ReplicaTier` bundles what distinguishes a replica class:
   :func:`repro.compress.quantize.quantize_model_` (so its outputs are the
   quantized model's outputs, deterministically different from full);
 - **virtual service cost** — each tier carries its own deterministic
-  step-cost model, mirroring the ``bench.serve`` analytic form
+  step-cost model, a multiple of the engine's analytic
+  :func:`~repro.engine.clock.step_cost`
   (``base + per_position·new + per_cached·cache``) with two tier knobs:
   ``cost_scale`` (uniform speedup, e.g. modeled int8 arithmetic) and
   ``attention_rank`` (a Linformer-style cap: the per-cached-position
@@ -33,19 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.clock import request_cost, step_cost
+
 __all__ = [
     "ReplicaTier",
     "standard_tiers",
     "build_tier_model",
     "make_tier_sequencer",
 ]
-
-#: Analytic per-forward virtual cost (seconds) — same shape and magnitudes
-#: as ``repro.bench.serve``: a launch overhead, a per-new-position
-#: projection term, a per-cached-position attention term.
-_BASE_S = 5e-3
-_PER_POSITION_S = 1.5e-3
-_PER_CACHED_S = 2e-5
 
 
 @dataclass(frozen=True)
@@ -75,19 +71,12 @@ class ReplicaTier:
             if self.attention_rank is not None
             else cache_len
         )
-        return self.cost_scale * (
-            _BASE_S + _PER_POSITION_S * new_positions + _PER_CACHED_S * attended
-        )
+        return self.cost_scale * step_cost(new_positions, attended)
 
-    def request_cost(self, prompt_len: int, max_new_tokens: int) -> float:
-        """Total virtual service seconds of one request on this tier
-        (prefill + ``max_new - 1`` decode forwards, like the sequencer)."""
-        total = self.step_cost(prompt_len, 0)
-        length = prompt_len
-        for _ in range(max(max_new_tokens - 1, 0)):
-            length += 1
-            total += self.step_cost(1, length - 1)
-        return total
+    def request_cost(self, prompt_len: int, max_new_tokens: int, max_positions: int) -> float:
+        """Total virtual service seconds of one request on this tier: its
+        step costs over the forwards the sequencer runs."""
+        return request_cost(prompt_len, max_new_tokens, max_positions, step=self.step_cost)
 
 
 def standard_tiers(linformer_rank: int = 16) -> tuple[ReplicaTier, ReplicaTier, ReplicaTier]:

@@ -130,30 +130,19 @@ class GPT2Model(TransformerModel):
         """Greedy decoding with a KV cache: prefill once, then O(1) steps.
 
         Emits exactly the same tokens as :meth:`generate` (asserted by the
-        tests) while projecting each position only once per layer.
+        tests) while projecting each position only once per layer.  The
+        loop is :class:`~repro.models.greedy.GreedyDecode`'s, like every
+        other decoder's.
         """
         from repro.models.cache import KVCache
+        from repro.models.greedy import GreedyDecode, cached_forward
         from repro.tensor.workspace import Workspace
 
-        ids = list(np.asarray(prompt_ids))
+        decode = GreedyDecode(prompt_ids, max_new_tokens, self.config.max_positions)
         # Final sequence length is known up front → size every layer's cache
         # exactly once; one workspace backs the scratch of all layers/steps.
-        capacity = min(len(ids) + max_new_tokens, self.config.max_positions)
-        cache = KVCache.empty(self.num_layers, capacity=capacity)
-        workspace = Workspace()
-
-        def step(new_ids: list[int], offset: int) -> int:
-            logits = self.logits_cached(new_ids, offset, cache.layers, workspace=workspace)
-            return int(np.argmax(logits))
-
-        next_id = step(ids, 0)  # prefill over the whole prompt
-        for _ in range(max_new_tokens):
-            if len(ids) >= self.config.max_positions:
-                break
-            ids.append(next_id)
-            if len(ids) >= self.config.max_positions:
-                break
-            next_id = step([ids[-1]], len(ids) - 1)
+        cache = KVCache.empty(self.num_layers, capacity=decode.capacity)
+        ids = decode.run(cached_forward(self, cache.layers, workspace=Workspace()))
         return np.asarray(ids, dtype=np.int64)
 
     def generate(self, prompt_ids: np.ndarray, max_new_tokens: int = 8) -> np.ndarray:

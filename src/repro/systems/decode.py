@@ -41,7 +41,9 @@ in the same order — so only the comparison against the single device
 moves to the verify harness's regime-2 closeness tolerance, and per-rank
 score/context FLOPs drop to O(t/K).  See INTERNALS §14.
 
-Two execution surfaces share the step kernel:
+Two execution surfaces share the step kernel and the greedy state machine
+(:class:`~repro.models.greedy.GreedyDecode`), so both run exactly the
+forwards ``generate_cached`` runs:
 
 * :func:`generate_distributed` — one-shot SPMD run over a real runtime
   (``ThreadedRuntime`` or ``ProcessRuntime``): every rank decodes the full
@@ -69,7 +71,6 @@ from repro.core.combine import (
     unpack_softmax_stats,
 )
 from repro.core.complexity import (
-    DECODE_ATTENTION_MODES,
     decode_comm_elements,
     decode_mode_cost,
     select_decode_order,
@@ -83,6 +84,7 @@ from repro.models.cache import (
     merge_kv_shards,
     shard_kv_views,
 )
+from repro.models.greedy import GreedyDecode, forward_shapes
 from repro.tensor.workspace import Workspace
 from repro.systems.base import InferenceResult
 
@@ -91,8 +93,8 @@ __all__ = [
     "decode_layer_spans",
     "decode_stats_wire",
     "decode_step_pricing",
-    "decode_step_totals",
     "generate_distributed",
+    "rank_forward",
     "run_decode",
     "sharded_decode_step",
 ]
@@ -127,34 +129,15 @@ def decode_layer_spans(system, capacity: int) -> list[list[Partition]]:
     ]
 
 
-def _shard_extend(
-    part: Partition,
-    shard: LayerKVCache,
-    offset: int,
-    heads: int,
-    head_dim: int,
-    gather_kv: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-):
-    """Build the ``extend_kv`` hook for one rank's shard of one layer.
-
-    Appends the slice of the new rows that falls inside this rank's span
-    (possibly none), then gathers every rank's shard view and returns the
-    rank-order concatenation — value-identical to a full single-device
-    cache append followed by a read.
-    """
-
-    def extend(k_new: np.ndarray, v_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        added = k_new.shape[1]
-        lo = max(part.start, offset)
-        hi = min(part.stop, offset + added)
-        if hi > lo:
-            shard.append(
-                k_new[:, lo - offset : hi - offset], v_new[:, lo - offset : hi - offset]
-            )
-        k_shard, v_shard = shard_kv_views(shard, heads, head_dim, k_new.dtype)
-        return gather_kv(k_shard, v_shard)
-
-    return extend
+def _append_span(
+    part: Partition, shard: LayerKVCache, k_new: np.ndarray, v_new: np.ndarray, offset: int
+) -> None:
+    """Append the slice of the new K/V rows (positions ``offset`` onward)
+    that falls inside ``part``'s span to that rank's shard — possibly none."""
+    lo = max(part.start, offset)
+    hi = min(part.stop, offset + k_new.shape[1])
+    if hi > lo:
+        shard.append(k_new[:, lo - offset : hi - offset], v_new[:, lo - offset : hi - offset])
 
 
 def decode_stats_wire(wire_dtype: str) -> tuple[np.dtype, int]:
@@ -193,40 +176,6 @@ def _local_stats_packed(
     return pack_softmax_stats(o, m, length)
 
 
-def _shard_attend(
-    part: Partition,
-    shard: LayerKVCache,
-    offset: int,
-    heads: int,
-    head_dim: int,
-    gather_stats: Callable[[np.ndarray], np.ndarray],
-):
-    """Build the ``attend`` hook for one rank's shard of one layer.
-
-    Appends the slice of the new K/V rows falling inside this rank's span,
-    computes partial attention over the *local* shard only, and exchanges
-    the packed ``(o, m, l)`` stats — ``gather_stats(packed) -> (K, H, P,
-    F_H+2)`` in rank order — before the deterministic rank-ordered
-    log-sum-exp combine.  Every rank combines the same gathered stats in
-    the same order, so all ranks produce the bit-identical layer output;
-    only the comparison against a *single-device* decode needs a tolerance.
-    """
-
-    def attend(q: np.ndarray, k_new: np.ndarray, v_new: np.ndarray) -> np.ndarray:
-        added = k_new.shape[1]
-        lo = max(part.start, offset)
-        hi = min(part.stop, offset + added)
-        if hi > lo:
-            shard.append(
-                k_new[:, lo - offset : hi - offset], v_new[:, lo - offset : hi - offset]
-            )
-        packed = _local_stats_packed(q, part, shard, offset, heads, head_dim)
-        gathered = gather_stats(packed)
-        return combine_softmax_stats([unpack_softmax_stats(chunk) for chunk in gathered])
-
-    return attend
-
-
 def sharded_decode_step(
     model,
     layer_parts: Sequence[Sequence[Partition]],
@@ -250,10 +199,7 @@ def sharded_decode_step(
     shard and ``gather_stats`` exchanges the packed log-sum-exp combine
     stats — exact up to float re-association (INTERNALS §14).
     """
-    if attention not in DECODE_ATTENTION_MODES:
-        raise ValueError(
-            f"attention must be one of {DECODE_ATTENTION_MODES}, got {attention!r}"
-        )
+    decode_mode_cost(attention)  # rejects unknown modes
     if attention == "gathered" and gather_kv is None:
         raise ValueError("gathered attention requires a gather_kv collective")
     if attention == "distributed" and gather_stats is None:
@@ -264,36 +210,60 @@ def sharded_decode_step(
     heads = model.config.num_heads
     head_dim = model.config.head_dim
     for index, layer in enumerate(model.layers):
-        part = layer_parts[index][rank]
+        part, shard = layer_parts[index][rank], shards[index]
         if attention == "gathered":
-            extend = _shard_extend(part, shards[index], offset, heads, head_dim, gather_kv)
+            # append this rank's slice of the new rows, then return every
+            # rank's shard in rank order — value-identical to a full
+            # single-device cache append followed by a read
+            def extend(k_new, v_new, part=part, shard=shard):
+                _append_span(part, shard, k_new, v_new, offset)
+                return gather_kv(*shard_kv_views(shard, heads, head_dim, k_new.dtype))
+
             x = layer_forward_cached_kv(layer, x, extend, offset, workspace=workspace)
         else:
-            attend = _shard_attend(part, shards[index], offset, heads, head_dim, gather_stats)
+            # attend against the local shard only and exchange the packed
+            # (o, m, l) stats, (K, H, P, F_H+2) in rank order, before the
+            # rank-ordered log-sum-exp combine: every rank combines the same
+            # stats in the same order, so all ranks agree bit for bit
+            def attend(q, k_new, v_new, part=part, shard=shard):
+                _append_span(part, shard, k_new, v_new, offset)
+                packed = _local_stats_packed(q, part, shard, offset, heads, head_dim)
+                gathered = gather_stats(packed)
+                return combine_softmax_stats([unpack_softmax_stats(c) for c in gathered])
+
             x = layer_forward_cached_attention(layer, x, attend, workspace=workspace)
     logits = model.ln_f(x[-1]) @ model.embeddings.word.weight.data.T
     return int(np.argmax(logits))
 
 
-def greedy_loop(
-    model, step: Callable[[list[int], int], int], ids: list[int], max_new_tokens: int
-) -> list[int]:
-    """The exact control flow of ``generate_cached``'s greedy loop."""
-    max_positions = model.config.max_positions
-    next_id = step(ids, 0)
-    for _ in range(max_new_tokens):
-        if len(ids) >= max_positions:
-            break
-        ids.append(next_id)
-        if len(ids) >= max_positions:
-            break
-        next_id = step([ids[-1]], len(ids) - 1)
-    return ids
+def rank_forward(ctx: WorkerContext, system, layer_parts, attention: str = "gathered"):
+    """One rank's greedy backend for one request: fresh KV shards over the
+    rank's spans, its all-gather collectives, and
+    :func:`sharded_decode_step` — looked up per call, so a wrapper installed
+    on this module's attribute applies to ranks that are already running."""
+    stats_dtype, _ = decode_stats_wire(system.wire_dtype)
+    shards = [LayerKVCache(capacity=parts[ctx.rank].length or None) for parts in layer_parts]
+    workspace = Workspace()
 
+    def gather_kv(k_shard, v_shard):
+        return ctx.all_gather(k_shard, axis=1), ctx.all_gather(v_shard, axis=1)
 
-def fresh_shards(layer_parts: Sequence[Sequence[Partition]], rank: int) -> list[LayerKVCache]:
-    """One empty KV shard per layer, sized to this rank's span."""
-    return [LayerKVCache(capacity=parts[rank].length or None) for parts in layer_parts]
+    def gather_stats(packed):
+        # stats may round to float16 on the wire; they are *not* re-read on
+        # later steps (unlike cache rows), so the error cannot compound — it
+        # is a one-shot rounding covered by the closeness tolerance.  The
+        # float32 upcast happens after the gather so the combine arithmetic
+        # is identical on every rank.
+        wire = packed.astype(stats_dtype, copy=False)
+        return ctx.all_gather(wire[None], axis=0).astype(np.float32)
+
+    def forward(new_ids, offset):
+        return sharded_decode_step(
+            system.model, layer_parts, shards, ctx.rank, new_ids, offset, gather_kv,
+            workspace=workspace, attention=attention, gather_stats=gather_stats,
+        )
+
+    return forward
 
 
 def generate_distributed(
@@ -316,39 +286,15 @@ def generate_distributed(
     """
     from repro.cluster.process_runtime import resolve_runtime
 
-    if attention not in DECODE_ATTENTION_MODES:
-        raise ValueError(
-            f"attention must be one of {DECODE_ATTENTION_MODES}, got {attention!r}"
-        )
-    model = system.model
+    decode_mode_cost(attention)  # rejects unknown modes
+    max_positions = system.model.config.max_positions
     ids0 = [int(token) for token in np.asarray(prompt_ids)]
-    capacity = decode_capacity(model, len(ids0), max_new_tokens)
+    capacity = decode_capacity(system.model, len(ids0), max_new_tokens)
     layer_parts = decode_layer_spans(system, capacity)
-    stats_dtype, _ = decode_stats_wire(system.wire_dtype)
 
     def worker(ctx: WorkerContext) -> np.ndarray:
-        shards = fresh_shards(layer_parts, ctx.rank)
-        workspace = Workspace()
-
-        def gather_kv(k_shard, v_shard):
-            return ctx.all_gather(k_shard, axis=1), ctx.all_gather(v_shard, axis=1)
-
-        def gather_stats(packed):
-            # stats may round to float16 on the wire; they are *not* re-read
-            # on later steps (unlike cache rows), so the error cannot
-            # compound — it is a one-shot rounding covered by the closeness
-            # tolerance.  The float32 upcast happens after the gather so the
-            # combine arithmetic is identical on every rank.
-            wire = packed.astype(stats_dtype, copy=False)
-            return ctx.all_gather(wire[None], axis=0).astype(np.float32)
-
-        def step(new_ids, offset):
-            return sharded_decode_step(
-                model, layer_parts, shards, ctx.rank, new_ids, offset, gather_kv,
-                workspace=workspace, attention=attention, gather_stats=gather_stats,
-            )
-
-        ids = greedy_loop(model, step, list(ids0), max_new_tokens)
+        forward = rank_forward(ctx, system, layer_parts, attention)
+        ids = GreedyDecode(ids0, max_new_tokens, max_positions).run(forward)
         return np.asarray(ids, dtype=np.int64)
 
     results, stats = resolve_runtime(runtime, system.k, timeout=timeout).run(worker)
@@ -427,10 +373,7 @@ def run_decode(
     through :func:`decode_step_pricing`.  The phase sequence is mirrored
     exactly by ``bench.analytic.voltage_decode_latency``.
     """
-    if attention not in DECODE_ATTENTION_MODES:
-        raise ValueError(
-            f"attention must be one of {DECODE_ATTENTION_MODES}, got {attention!r}"
-        )
+    decode_mode_cost(attention)  # rejects unknown modes
     model = system.model
     config = model.config
     sim = system.sim
@@ -504,15 +447,8 @@ def run_decode(
             # layer, then merges every shard in rank order — the same
             # values every rank would assemble from a real all-gather.
             def extend(k_new, v_new, parts=parts, shards=shards):
-                rows = k_new.shape[1]
                 for part, shard in zip(parts, shards):
-                    lo = max(part.start, offset)
-                    hi = min(part.stop, offset + rows)
-                    if hi > lo:
-                        shard.append(
-                            k_new[:, lo - offset : hi - offset],
-                            v_new[:, lo - offset : hi - offset],
-                        )
+                    _append_span(part, shard, k_new, v_new, offset)
                 return merge_kv_shards(shards)
 
             # Distributed attention: append as above, then compute every
@@ -520,15 +456,8 @@ def run_decode(
             # (exactly as the runtime's stats all-gather does) and run the
             # rank-ordered combine every rank runs.
             def attend(q, k_new, v_new, parts=parts, shards=shards):
-                rows = k_new.shape[1]
                 for part, shard in zip(parts, shards):
-                    lo = max(part.start, offset)
-                    hi = min(part.stop, offset + rows)
-                    if hi > lo:
-                        shard.append(
-                            k_new[:, lo - offset : hi - offset],
-                            v_new[:, lo - offset : hi - offset],
-                        )
+                    _append_span(part, shard, k_new, v_new, offset)
                 gathered = [
                     _local_stats_packed(q, part, shard, offset, heads, head_dim)
                     .astype(stats_dtype, copy=False)
@@ -548,28 +477,16 @@ def run_decode(
         account_step(added, total)
         return int(np.argmax(logits))
 
-    ids = greedy_loop(model, step, list(ids0), max_new_tokens)
+    ids = GreedyDecode(ids0, max_new_tokens, config.max_positions).run(step)
     output = np.asarray(ids, dtype=np.int64)
     latency.add(
         "gather output to terminal", "comm", sim.point_to_point(_ID_ITEMSIZE * len(ids))
     )
 
-    totals = decode_step_totals(len(ids0), max_new_tokens, config.max_positions)
-    addeds = [len(ids0)] + [1] * (len(totals) - 1)
-    if attention == "gathered":
-        kv_elements = model.num_layers * sum(
-            decode_comm_elements("gathered", total, heads, head_dim, k)
-            for total in totals
-        )
-        combine_elements = 0
-    else:
-        kv_elements = 0
-        combine_elements = model.num_layers * sum(
-            decode_comm_elements(
-                "distributed", total, heads, head_dim, k, new_positions=added
-            )
-            for total, added in zip(totals, addeds)
-        )
+    comm_elements = model.num_layers * sum(
+        decode_comm_elements(attention, offset + added, heads, head_dim, k, new_positions=added)
+        for added, offset in forward_shapes(len(ids0), max_new_tokens, config.max_positions)
+    )
     meta = {
         "system": "voltage-decode",
         "devices": k,
@@ -582,8 +499,8 @@ def run_decode(
         "kv_gather_bytes_per_device": int(kv_gather_bytes),
         "combine_bytes_per_device": int(combine_bytes),
         "per_step_comm_bytes_per_device": per_step_comm_bytes,
-        "kv_gather_elements_analytic": kv_elements,
-        "combine_elements_analytic": combine_elements,
+        "kv_gather_elements_analytic": comm_elements if attention == "gathered" else 0,
+        "combine_elements_analytic": comm_elements if attention == "distributed" else 0,
         "cached_order": "eq3",
         "uncached_orders": uncached_orders,
         "shard_spans": [[part.start, part.stop] for part in layer_parts[0]],
@@ -592,22 +509,3 @@ def run_decode(
     }
     return InferenceResult(output=output, latency=latency, meta=meta)
 
-
-def decode_step_totals(prompt_len: int, max_new_tokens: int, max_positions: int) -> list[int]:
-    """Sequence lengths seen by each decode step — deterministic in shapes.
-
-    Replays ``generate_cached``'s control flow over lengths only: the
-    prefill step sees ``prompt_len`` rows; each later step sees one row at
-    the post-append length, stopping early at ``max_positions`` exactly
-    where the real loop does.
-    """
-    totals = [prompt_len]
-    length = prompt_len
-    for _ in range(max_new_tokens):
-        if length >= max_positions:
-            break
-        length += 1
-        if length >= max_positions:
-            break
-        totals.append(length)
-    return totals

@@ -543,14 +543,16 @@ def _expected_decode_gather_bytes(
     every step, every layer contributes two shard all-gathers whose chunks
     are the spans clipped to the filled prefix.
     """
-    from repro.systems.decode import decode_layer_spans, decode_step_totals
+    from repro.models.greedy import forward_shapes
+    from repro.systems.decode import decode_layer_spans
 
     config = voltage.model.config
     capacity = min(prompt_len + max_new_tokens, config.max_positions)
     spans = decode_layer_spans(voltage, capacity)
     row_bytes = config.num_heads * config.head_dim * 4
     total = 0
-    for filled in decode_step_totals(prompt_len, max_new_tokens, config.max_positions):
+    for added, offset in forward_shapes(prompt_len, max_new_tokens, config.max_positions):
+        filled = offset + added
         for parts in spans:
             chunks = [
                 max(0, min(part.stop, filled) - max(part.start, 0)) * row_bytes
@@ -570,15 +572,14 @@ def _expected_decode_combine_bytes(
     query position, independent of how much context each rank holds.
     The framing is deterministic, so the check against the meta is exact.
     """
-    from repro.systems.decode import decode_stats_wire, decode_step_totals
+    from repro.models.greedy import forward_shapes
+    from repro.systems.decode import decode_stats_wire
 
     config = voltage.model.config
     k = voltage.cluster.num_devices
     itemsize = decode_stats_wire(voltage.wire_dtype)[1]
-    totals = decode_step_totals(prompt_len, max_new_tokens, config.max_positions)
     total = 0
-    for step_index in range(len(totals)):
-        added = prompt_len if step_index == 0 else 1
+    for added, _ in forward_shapes(prompt_len, max_new_tokens, config.max_positions):
         chunk = config.num_heads * added * (config.head_dim + 2) * itemsize
         total += config.num_layers * (k - 1) * chunk
     return total

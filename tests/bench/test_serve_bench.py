@@ -28,10 +28,10 @@ class TestCostModel:
         expected = serve.step_cost(prompt_len, 0)
         for i in range(max_new - 1):
             expected += serve.step_cost(1, prompt_len + i)
-        assert serve.request_cost(prompt_len, max_new) == pytest.approx(expected)
+        assert serve.request_cost(prompt_len, max_new, 64) == pytest.approx(expected)
 
     def test_request_cost_with_zero_new_tokens_is_prefill_only(self):
-        assert serve.request_cost(6, 0) == pytest.approx(serve.step_cost(6, 0))
+        assert serve.request_cost(6, 0, 64) == pytest.approx(serve.step_cost(6, 0))
 
 
 def speculative_section(

@@ -40,7 +40,7 @@ def factory_for(tier_models):
 
 
 def diurnal_trace():
-    service_s = TIERS[0].request_cost(8, MAX_NEW)
+    service_s = TIERS[0].request_cost(8, MAX_NEW, 64)  # the models' max_positions
     return build_trace("diurnal", seed=0, quick=True).rescaled(service_s), service_s
 
 

@@ -20,7 +20,7 @@ def test_cost_scale_is_a_uniform_multiplier():
     full = ReplicaTier(name="full")
     fast = ReplicaTier(name="fast", cost_scale=0.5)
     assert fast.step_cost(4, 10) == pytest.approx(0.5 * full.step_cost(4, 10))
-    assert fast.request_cost(8, 8) == pytest.approx(0.5 * full.request_cost(8, 8))
+    assert fast.request_cost(8, 8, 64) == pytest.approx(0.5 * full.request_cost(8, 8, 64))
 
 
 def test_linformer_rank_caps_the_attention_term():
@@ -35,10 +35,10 @@ def test_linformer_rank_caps_the_attention_term():
 
 def test_request_cost_grows_with_prompt_and_generation():
     tier = ReplicaTier(name="full")
-    assert tier.request_cost(16, 8) > tier.request_cost(4, 8)
-    assert tier.request_cost(4, 16) > tier.request_cost(4, 8)
+    assert tier.request_cost(16, 8, 64) > tier.request_cost(4, 8, 64)
+    assert tier.request_cost(4, 16, 64) > tier.request_cost(4, 8, 64)
     # a single-token generation is just the prefill forward
-    assert tier.request_cost(4, 1) == pytest.approx(tier.step_cost(4, 0))
+    assert tier.request_cost(4, 1, 64) == pytest.approx(tier.step_cost(4, 0))
 
 
 def test_standard_tiers_shape():

@@ -16,10 +16,10 @@ from repro.cluster.spec import ClusterSpec
 from repro.bench.analytic import voltage_decode_latency
 from repro.models.config import tiny_config
 from repro.models.gpt2 import GPT2Model
+from repro.models.greedy import forward_shapes
 from repro.systems.decode import (
     decode_capacity,
     decode_layer_spans,
-    decode_step_totals,
     generate_distributed,
     run_decode,
 )
@@ -238,10 +238,8 @@ class TestDistributedAttentionAccounting:
         system = _system(gpt2, 3)
         result = run_decode(system, prompt, max_new_tokens=4, attention="distributed")
         config = gpt2.config
-        totals = decode_step_totals(len(prompt), 4, config.max_positions)
         expected = 0
-        for step, _ in enumerate(totals):
-            added = len(prompt) if step == 0 else 1
+        for added, _ in forward_shapes(len(prompt), 4, config.max_positions):
             per_rank = decode_combine_elements(
                 config.num_heads, config.head_dim, 1, new_positions=added
             )
@@ -270,19 +268,19 @@ class TestDistributedAttentionAccounting:
 
 class TestStepTotals:
     def test_plain_run(self):
-        # mirrors generate_cached: the loop steps once more after the final
-        # append (that last next_id is never used), hence four totals
-        assert decode_step_totals(7, 3, 64) == [7, 8, 9, 10]
+        # prefill, then one forward per committed token except the last:
+        # no forward runs after the final commit, so three forwards
+        assert forward_shapes(7, 3, 64) == [(7, 0), (1, 7), (1, 8)]
 
     def test_zero_new_tokens(self):
-        assert decode_step_totals(7, 0, 64) == [7]
+        assert forward_shapes(7, 0, 64) == [(7, 0)]
 
     def test_cap_skips_final_step(self):
         # prompt 6, cap 8: append to 7 (step), append to 8 (>= cap, no step)
-        assert decode_step_totals(6, 4, 8) == [6, 7]
+        assert forward_shapes(6, 4, 8) == [(6, 0), (1, 6)]
 
     def test_prompt_at_cap(self):
-        assert decode_step_totals(8, 4, 8) == [8]
+        assert forward_shapes(8, 4, 8) == [(8, 0)]
 
 
 class TestSpans:
