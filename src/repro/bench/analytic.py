@@ -204,10 +204,11 @@ def voltage_decode_latency(
     (:func:`repro.systems.decode.decode_step_pricing`, driven by the
     ``core.complexity`` decode cost table), so the two timelines share one
     formula source.  ``attention`` selects the mode: ``"gathered"`` pays a
-    replicated compute makespan plus two lossless K/V shard all-gathers
-    per layer; ``"distributed"`` pays per-rank local-shard attention plus
-    one packed-stats all-gather per layer (``stats_itemsize=2`` for a
-    float16 wire).  Spans are fixed over the request's full capacity, so
+    replicated compute makespan plus one lossless all-gather of the
+    stacked K/V shard rows per layer; ``"distributed"`` pays per-rank
+    local-shard attention plus one packed-stats all-gather per layer
+    (``stats_itemsize=2`` for a float16 wire).  Spans are fixed over the
+    request's full capacity, so
     each step's chunk sizes are the spans clipped to the filled prefix.
     Phase names, kinds and step structure match ``run_decode`` exactly —
     the verify harness compares the two phase-by-phase.

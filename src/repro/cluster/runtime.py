@@ -27,6 +27,7 @@ Two families of collectives coexist:
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 from collections.abc import Callable, Sequence
@@ -265,11 +266,14 @@ class WorkerContext:
         self._stats_lock = threading.Lock()
         self._comm_threads: list[threading.Thread] = []
         self._comm_errors: list[RuntimeError_] = []
-        # Per-rank receive-buffer pool, two generations per (op, shape,
-        # dtype): a collective's result stays valid until the *second*-next
-        # call of the same collective on this rank (the pool alternates), so
-        # the per-layer loops of Voltage / tensor parallelism never allocate
-        # after their first iteration.
+        # Per-rank receive-buffer pool: two flat buffers per (op, dtype),
+        # grown geometrically and handed out as reshaped views.  A
+        # collective's result stays valid until the *second*-next call of the
+        # same collective on this rank, whatever its shape (the pool
+        # alternates), so the per-layer loops of Voltage / tensor parallelism
+        # never allocate after their first iteration, and a decode whose
+        # gathers grow by one row per step keeps two buffers, not two per
+        # sequence length it has seen.
         self._buffers: dict[tuple, list[np.ndarray]] = {}
 
     def _add_stats(self, **deltas) -> None:
@@ -280,26 +284,34 @@ class WorkerContext:
     def _recv_buffer(
         self, op: str, shape: tuple[int, ...], dtype, inputs: Sequence[np.ndarray]
     ) -> np.ndarray:
-        """A pooled output buffer that aliases none of ``inputs``.
+        """A pooled ``shape`` output view that aliases none of ``inputs``.
 
         The pool is per-rank (results stay private) and holds at most two
-        buffers per key; the second call of an op allocates its own buffer
-        rather than clobbering the first call's still-live result.
+        flat buffers per ``(op, dtype)``; the second call of an op allocates
+        its own buffer rather than clobbering the first call's still-live
+        result.  A recycled buffer too small for ``shape`` is replaced by
+        one 2x its size (or the request, whichever is larger).  The aliasing
+        guard is ``np.may_share_memory`` — a bounds check, conservative: a
+        false positive only costs a fresh allocation.
         """
-        key = (op, shape, np.dtype(dtype))
-        pool = self._buffers.setdefault(key, [])
+        dtype = np.dtype(dtype)
+        needed = math.prod(shape)
+        pool = self._buffers.setdefault((op, dtype), [])
         if len(pool) >= 2:
-            for buf in pool:
-                if not any(np.shares_memory(buf, arr) for arr in inputs):
-                    pool.remove(buf)
+            for index, buf in enumerate(pool):
+                if not any(np.may_share_memory(buf, arr) for arr in inputs):
+                    del pool[index]
+                    if buf.size < needed:
+                        buf = np.empty(max(needed, 2 * buf.size), dtype=dtype)
+                    else:
+                        self._add_stats(buffers_reused=1)
                     pool.append(buf)  # most-recently-used goes to the back
-                    self._add_stats(buffers_reused=1)
-                    return buf
-        buf = np.empty(shape, dtype=dtype)
+                    return buf[:needed].reshape(shape)
+        buf = np.empty(needed, dtype=dtype)
         pool.append(buf)
         if len(pool) > 2:
             pool.pop(0)
-        return buf
+        return buf.reshape(shape)
 
     @property
     def world_size(self) -> int:

@@ -8,7 +8,7 @@ keys/values — position-wise partitioning still applies to everything the
 cache does not already cover.
 
 Allocation behaviour (INTERNALS §9): the cache owns one preallocated
-``(H, capacity, F_H)`` buffer per tensor, grown geometrically, so a T-token
+``(2, H, capacity, F_H)`` buffer holding K and V, grown geometrically, so a T-token
 decode performs O(T) element writes instead of the O(T²) copies of a
 concatenate-per-append scheme.  ``append`` always copies the new positions
 in and returns *views* of the cached prefix; callers that need the hidden
@@ -49,15 +49,17 @@ __all__ = [
 class LayerKVCache:
     """One layer's cached key/value tensors, ``(H, T, F_H)`` each.
 
-    ``capacity`` pre-sizes the backing buffers (in positions); without it the
-    first append sizes them and later growth doubles, so appends stay
-    amortised O(1) allocations either way.  ``allocations`` counts backing
-    (re)allocations — the perf tests pin it to 1 when a hint is given.
+    K and V share one ``(2, H, capacity, F_H)`` backing buffer, so
+    :attr:`kv` views both as a single array — the one operand a
+    position-sharded decode all-gathers per layer, without a staging copy.
+    ``capacity`` pre-sizes the buffer (in positions); without it the first
+    append sizes it and later growth doubles, so appends stay amortised O(1)
+    allocations either way.  ``allocations`` counts backing (re)allocations
+    — the perf tests pin it to 1 when a hint is given.
     """
 
     def __init__(self, capacity: int | None = None):
-        self._k_buf: np.ndarray | None = None
-        self._v_buf: np.ndarray | None = None
+        self._kv_buf: np.ndarray | None = None
         self._length = 0
         self._capacity_hint = capacity
         self.allocations = 0
@@ -65,12 +67,17 @@ class LayerKVCache:
     @property
     def k(self) -> np.ndarray | None:
         """View of the cached keys, ``(H, length, F_H)``; None before first append."""
-        return None if self._k_buf is None else self._k_buf[:, : self._length]
+        return None if self._kv_buf is None else self._kv_buf[0, :, : self._length]
 
     @property
     def v(self) -> np.ndarray | None:
         """View of the cached values, ``(H, length, F_H)``; None before first append."""
-        return None if self._v_buf is None else self._v_buf[:, : self._length]
+        return None if self._kv_buf is None else self._kv_buf[1, :, : self._length]
+
+    @property
+    def kv(self) -> np.ndarray | None:
+        """Keys and values stacked, ``(2, H, length, F_H)``; None before first append."""
+        return None if self._kv_buf is None else self._kv_buf[:, :, : self._length]
 
     @property
     def length(self) -> int:
@@ -79,24 +86,20 @@ class LayerKVCache:
     @property
     def capacity(self) -> int:
         """Positions the backing buffers can hold without reallocating."""
-        return 0 if self._k_buf is None else self._k_buf.shape[1]
+        return 0 if self._kv_buf is None else self._kv_buf.shape[2]
 
     def reserve(self, capacity: int) -> None:
         """Ensure room for ``capacity`` positions (allocates at most once)."""
-        if self._k_buf is None:
+        if self._kv_buf is None:
             self._capacity_hint = max(capacity, self._capacity_hint or 0)
-        elif self._k_buf.shape[1] < capacity:
+        elif self.capacity < capacity:
             self._grow(capacity)
 
     def _grow(self, needed: int) -> None:
-        new_cap = max(needed, 2 * self._k_buf.shape[1])
-        k_buf = np.empty(
-            (self._k_buf.shape[0], new_cap, self._k_buf.shape[2]), dtype=self._k_buf.dtype
-        )
-        v_buf = np.empty_like(k_buf)
-        k_buf[:, : self._length] = self._k_buf[:, : self._length]
-        v_buf[:, : self._length] = self._v_buf[:, : self._length]
-        self._k_buf, self._v_buf = k_buf, v_buf
+        two, heads, cap, head_dim = self._kv_buf.shape
+        kv_buf = np.empty((two, heads, max(needed, 2 * cap), head_dim), dtype=self._kv_buf.dtype)
+        kv_buf[:, :, : self._length] = self.kv
+        self._kv_buf = kv_buf
         self.allocations += 1
 
     def truncate(self, length: int) -> None:
@@ -126,27 +129,28 @@ class LayerKVCache:
         if k_new.dtype != v_new.dtype:
             raise ValueError(f"K/V dtypes disagree: {k_new.dtype} vs {v_new.dtype}")
         t = k_new.shape[1]
-        if self._k_buf is None:
+        if self._kv_buf is None:
             cap = max(self._length + t, self._capacity_hint or 0)
-            self._k_buf = np.empty((k_new.shape[0], cap, k_new.shape[2]), dtype=k_new.dtype)
-            self._v_buf = np.empty_like(self._k_buf)
+            self._kv_buf = np.empty(
+                (2, k_new.shape[0], cap, k_new.shape[2]), dtype=k_new.dtype
+            )
             self.allocations += 1
         else:
             if (
-                k_new.shape[0] != self._k_buf.shape[0]
-                or k_new.shape[2] != self._k_buf.shape[2]
+                k_new.shape[0] != self._kv_buf.shape[1]
+                or k_new.shape[2] != self._kv_buf.shape[3]
             ):
                 raise ValueError(
                     f"cache geometry mismatch: cached {self.k.shape}, new {k_new.shape}"
                 )
-            if k_new.dtype != self._k_buf.dtype:
+            if k_new.dtype != self._kv_buf.dtype:
                 raise ValueError(
-                    f"cache dtype mismatch: cached {self._k_buf.dtype}, new {k_new.dtype}"
+                    f"cache dtype mismatch: cached {self._kv_buf.dtype}, new {k_new.dtype}"
                 )
-            if self._length + t > self._k_buf.shape[1]:
+            if self._length + t > self.capacity:
                 self._grow(self._length + t)
-        self._k_buf[:, self._length : self._length + t] = k_new
-        self._v_buf[:, self._length : self._length + t] = v_new
+        self._kv_buf[0, :, self._length : self._length + t] = k_new
+        self._kv_buf[1, :, self._length : self._length + t] = v_new
         self._length += t
         return self.k, self.v
 
@@ -240,7 +244,10 @@ def _cached_attention(
     else:
         scores = q @ k_all.transpose(0, 2, 1)
     np.divide(scores, scale, out=scores)
-    if causal:
+    if causal and total > offset + 1:
+        # the mask blocks keys past a query's own position; when the last
+        # key is the first query's (a single-token decode step) nothing is
+        # blocked, so the step skips building and applying it
         scores[:, F.causal_mask(t, total, offset=offset)] = -1e30
     F.softmax(scores, axis=-1, out=scores)
     if workspace is not None:
@@ -368,20 +375,19 @@ def shard_kv_cache(cache: LayerKVCache, parts) -> list[LayerKVCache]:
     return shards
 
 
-def shard_kv_views(
-    shard: LayerKVCache, heads: int, head_dim: int, dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """The shard's ``(H, length, F_H)`` K/V views, zero-row arrays if empty.
+def shard_kv_views(shard: LayerKVCache, heads: int, head_dim: int, dtype) -> np.ndarray:
+    """The shard's K and V rows stacked, ``(2, H, length, F_H)``; zero rows if empty.
 
-    An empty shard (K > N leaves trailing ranks without positions; any rank
-    before its span fills) has no backing buffers yet, so its ``k``/``v``
-    properties are None — collectives need a real zero-length array of the
-    right geometry instead.
+    A view of the shard's buffer: unpack it as ``k, v = ...`` for the two
+    ``(H, length, F_H)`` views, or all-gather it whole along axis 2 — one
+    collective carries both tensors.  An empty shard (K > N leaves trailing
+    ranks without positions; any rank before its span fills) has no backing
+    buffer yet, so its ``kv`` property is None — collectives need a real
+    zero-length array of the right geometry instead.
     """
-    if shard.length == 0 or shard.k is None:
-        empty = np.empty((heads, 0, head_dim), dtype=dtype)
-        return empty, empty
-    return shard.k, shard.v
+    if shard.length == 0 or shard.kv is None:
+        return np.empty((2, heads, 0, head_dim), dtype=dtype)
+    return shard.kv
 
 
 def merge_kv_shards(shards) -> tuple[np.ndarray, np.ndarray]:

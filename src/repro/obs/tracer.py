@@ -101,12 +101,23 @@ class _OpenSpan:
 
 
 class _NullSpan:
-    """Inert stand-in so call sites never branch on tracing being enabled."""
+    """Inert stand-in so call sites never branch on tracing being enabled.
+
+    It is its own context manager: :meth:`NullTracer.span` hands back this
+    one shared object, so a disabled span costs a method call and an
+    ``__enter__``/``__exit__`` pair, not a generator-backed context manager.
+    """
 
     __slots__ = ()
 
     def set(self, **kwargs) -> None:
         pass
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
 
 
 _NULL_SPAN = _NullSpan()
@@ -308,9 +319,8 @@ class NullTracer:
     enabled = False
     spans: tuple = ()
 
-    @contextmanager
-    def span(self, name, **kwargs):
-        yield _NULL_SPAN
+    def span(self, name, **kwargs) -> _NullSpan:
+        return _NULL_SPAN
 
     def record_modeled(self, name, **kwargs) -> None:
         return None

@@ -18,7 +18,8 @@ but flips what is *partitioned*:
   (``min(prompt + max_new, max_positions)``) so a row's owner never moves
   as the sequence grows.
 * **Assembly is a lossless all-gather.** Before attention each rank
-  gathers every peer's K/V shard rows and concatenates them in rank order,
+  gathers every peer's K/V shard rows in rank order — K and V stacked in
+  one operand, so one all-gather per layer, as in the forward pass —
   reconstructing exactly the array a single-device cache would hold —
   shard spans partition ``[0, capacity)`` contiguously in rank order, so
   clipping each span to the filled prefix ``[0, total)`` and concatenating
@@ -183,7 +184,7 @@ def sharded_decode_step(
     rank: int,
     new_ids: Sequence[int],
     offset: int,
-    gather_kv: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None,
+    gather_kv: Callable[[np.ndarray], np.ndarray] | None,
     workspace: Workspace | None = None,
     attention: str = "gathered",
     gather_stats: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -192,8 +193,8 @@ def sharded_decode_step(
 
     ``shards[i]`` is this rank's KV shard for layer ``i``.  With
     ``attention="gathered"`` the step is op-for-op ``generate_cached``'s:
-    ``gather_kv`` assembles the full K/V from every rank's shard (a
-    collective under a runtime, a host-side merge in emulation) and the
+    ``gather_kv`` assembles the full ``(2, H, total, F_H)`` K/V stack from
+    every rank's stacked shard rows (one all-gather along axis 2) and the
     outputs are bit-identical to the single device.  With
     ``attention="distributed"`` the rank attends only against its local
     shard and ``gather_stats`` exchanges the packed log-sum-exp combine
@@ -212,12 +213,13 @@ def sharded_decode_step(
     for index, layer in enumerate(model.layers):
         part, shard = layer_parts[index][rank], shards[index]
         if attention == "gathered":
-            # append this rank's slice of the new rows, then return every
-            # rank's shard in rank order — value-identical to a full
-            # single-device cache append followed by a read
+            # append this rank's slice of the new rows, then gather every
+            # rank's K and V shard rows in rank order in one collective —
+            # value-identical to a full single-device cache append and read
             def extend(k_new, v_new, part=part, shard=shard):
                 _append_span(part, shard, k_new, v_new, offset)
-                return gather_kv(*shard_kv_views(shard, heads, head_dim, k_new.dtype))
+                k_all, v_all = gather_kv(shard_kv_views(shard, heads, head_dim, k_new.dtype))
+                return k_all, v_all
 
             x = layer_forward_cached_kv(layer, x, extend, offset, workspace=workspace)
         else:
@@ -245,8 +247,8 @@ def rank_forward(ctx: WorkerContext, system, layer_parts, attention: str = "gath
     shards = [LayerKVCache(capacity=parts[ctx.rank].length or None) for parts in layer_parts]
     workspace = Workspace()
 
-    def gather_kv(k_shard, v_shard):
-        return ctx.all_gather(k_shard, axis=1), ctx.all_gather(v_shard, axis=1)
+    def gather_kv(kv_shard):
+        return ctx.all_gather(kv_shard, axis=2)
 
     def gather_stats(packed):
         # stats may round to float16 on the wire; they are *not* re-read on
@@ -274,8 +276,8 @@ def generate_distributed(
 
     Every rank runs the replicated token loop, holding only its span of
     each layer's K/V.  With ``attention="gathered"`` each step reassembles
-    the full cache with two lossless ``all_gather`` calls per layer and the
-    returned ``ids`` are bit-identical to
+    the full cache with one lossless ``all_gather`` per layer (K and V
+    rows stacked) and the returned ``ids`` are bit-identical to
     ``model.generate_cached(prompt_ids, max_new_tokens)``.  With
     ``attention="distributed"`` each rank attends only against its local
     shard and the ranks exchange one packed stats all-gather per layer —
@@ -327,8 +329,8 @@ def decode_step_pricing(
       scores only the rank's local shard rows, so heterogeneous spans yield
       heterogeneous per-rank FLOPs.
     - ``layer_collectives[i]`` — the ordered all-gather chunk-byte lists
-      layer ``i`` issues: two lossless K/V row gathers when gathered, one
-      packed-stats gather when distributed.
+      layer ``i`` issues: one lossless gather of the stacked K and V rows
+      when gathered, one packed-stats gather when distributed.
     - ``per_device_bytes`` — wire bytes one device receives across all
       layers this step (``sum(chunks) - max(chunks)`` per collective).
     """
@@ -347,15 +349,12 @@ def decode_step_pricing(
                 total, 1, config.hidden_size, fh, heads, config.ffn_dim,
                 new_positions=added, local_rows=local_rows[rank],
             )
-        if attention == "gathered":
-            chunk_bytes = [heads * rows * fh * _KV_ITEMSIZE for rows in local_rows]
-            layer_collectives.append([chunk_bytes, chunk_bytes])  # K rows, V rows
-            per_device_bytes += 2 * (sum(chunk_bytes) - max(chunk_bytes))
+        if attention == "gathered":  # K and V rows in one stacked chunk
+            chunk_bytes = [2 * heads * rows * fh * _KV_ITEMSIZE for rows in local_rows]
         else:
-            chunk = heads * added * (fh + 2) * stats_itemsize
-            chunk_bytes = [chunk] * k
-            layer_collectives.append([chunk_bytes])
-            per_device_bytes += sum(chunk_bytes) - max(chunk_bytes)
+            chunk_bytes = [heads * added * (fh + 2) * stats_itemsize] * k
+        layer_collectives.append([chunk_bytes])
+        per_device_bytes += sum(chunk_bytes) - max(chunk_bytes)
     return per_rank_flops, layer_collectives, per_device_bytes
 
 

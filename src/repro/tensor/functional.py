@@ -57,10 +57,11 @@ def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.
     float32.  ``out`` may alias ``x`` for fully in-place operation.
     """
     _check_out(x, out)
-    x_max = np.max(x, axis=axis, keepdims=True)
+    # the ufunc reductions np.max / np.sum run, minus their Python wrappers
+    x_max = np.maximum.reduce(x, axis=axis, keepdims=True)
     out = np.subtract(x, x_max, out=out) if out is not None else np.subtract(x, x_max)
     np.exp(out, out=out)
-    denom = np.sum(out, axis=axis, keepdims=True)
+    denom = np.add.reduce(out, axis=axis, keepdims=True)
     np.divide(out, denom, out=out)
     return out
 
@@ -87,12 +88,29 @@ def layer_norm(
     Matches the transformer usage in the paper: applied position-wise, i.e.
     each row of the ``(N, F)`` activation is normalised independently, which
     is what makes the operation partitionable by position.
+
+    Float32/64 inputs run the exact ufunc sequence of ``np.mean`` and
+    ``np.var`` (sum-reduce, then an unsafe-cast divide by the ``intp``
+    count) but centre ``x`` once, into ``out``, and square a copy of that —
+    ``np.var`` would recompute the mean and centre again.  The reductions
+    see arrays of the same layout as ``np.var``'s own temporaries, so the
+    result is bit-identical to the ``np.mean``/``np.var`` formulation, which
+    float16 (whose mean accumulates in float32) and any ``out`` laid out
+    unlike ``x`` still run.
     """
     _check_out(x, out)
-    mean = np.mean(x, axis=-1, keepdims=True)
-    var = np.var(x, axis=-1, keepdims=True)
+    if x.dtype.kind == "f" and x.dtype.itemsize > 2 and (out is None or out.strides == x.strides):
+        count = np.intp(x.shape[-1])
+        mean = np.add.reduce(x, axis=-1, keepdims=True)
+        np.true_divide(mean, count, out=mean, casting="unsafe")
+        out = np.subtract(x, mean, out=out) if out is not None else np.subtract(x, mean)
+        var = np.add.reduce(np.square(out), axis=-1, keepdims=True)
+        np.true_divide(var, count, out=var, casting="unsafe")
+    else:
+        mean = np.mean(x, axis=-1, keepdims=True)
+        var = np.var(x, axis=-1, keepdims=True)
+        out = np.subtract(x, mean, out=out) if out is not None else np.subtract(x, mean)
     denom = np.sqrt(var + eps)
-    out = np.subtract(x, mean, out=out) if out is not None else np.subtract(x, mean)
     np.divide(out, denom, out=out)
     if weight is not None:
         np.multiply(out, weight, out=out)

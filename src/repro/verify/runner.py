@@ -540,8 +540,8 @@ def _expected_decode_gather_bytes(
     """Per-device KV-gather traffic the decode spans imply (lossless float32).
 
     Mirrors ``run_decode``'s accounting from the span geometry alone: for
-    every step, every layer contributes two shard all-gathers whose chunks
-    are the spans clipped to the filled prefix.
+    every step, every layer contributes one all-gather of the stacked K and
+    V shard rows whose chunks are the spans clipped to the filled prefix.
     """
     from repro.models.greedy import forward_shapes
     from repro.systems.decode import decode_layer_spans
@@ -549,7 +549,7 @@ def _expected_decode_gather_bytes(
     config = voltage.model.config
     capacity = min(prompt_len + max_new_tokens, config.max_positions)
     spans = decode_layer_spans(voltage, capacity)
-    row_bytes = config.num_heads * config.head_dim * 4
+    row_bytes = 2 * config.num_heads * config.head_dim * 4  # a K row and a V row
     total = 0
     for added, offset in forward_shapes(prompt_len, max_new_tokens, config.max_positions):
         filled = offset + added
@@ -558,7 +558,7 @@ def _expected_decode_gather_bytes(
                 max(0, min(part.stop, filled) - max(part.start, 0)) * row_bytes
                 for part in parts
             ]
-            total += 2 * (sum(chunks) - max(chunks))
+            total += sum(chunks) - max(chunks)
     return total
 
 

@@ -1,5 +1,7 @@
 """Tests for the thread-backed real execution runtime."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,55 @@ class TestBufferReuse:
 
         results, _ = runtime.run(worker)
         assert results == [True, True]
+
+    def test_pool_stays_bounded_as_gathers_grow(self):
+        """A resident decode gathers one row more every step.  The pool keeps
+        two flat buffers per (op, dtype), so what it retains is bounded by
+        the largest result, not by the sum over every length it has seen."""
+        runtime = ThreadedRuntime(2)
+        largest = 4 * (2 * 200) * 64 * 4  # (4, 2t, 64) float32 at t = 200
+
+        def worker(ctx):
+            ctx.barrier()
+            before = tracemalloc.get_traced_memory()[0]
+            for t in range(1, 201):
+                result = ctx.all_gather(np.ones((4, t, 64), dtype=np.float32), axis=1)
+                assert result.shape == (4, 2 * t, 64)
+            del result
+            ctx.barrier()
+            retained = tracemalloc.get_traced_memory()[0] - before
+            ctx.barrier()  # a returning rank frees its pool: measure first
+            return retained
+
+        tracemalloc.start()
+        try:
+            retained, _ = runtime.run(worker)
+        finally:
+            tracemalloc.stop()
+        # both ranks' pools, plus the last inputs the slots still reference
+        per_rank = max(retained) / 2
+        assert per_rank < 4 * largest
+
+    def test_growing_gather_keeps_two_generation_contract(self):
+        """A result stays valid until the second-next call whatever its
+        shape: a larger request regrows only the buffer being recycled."""
+        runtime = ThreadedRuntime(2)
+
+        def worker(ctx):
+            results, snapshots = [], []
+            for t in (2, 2, 1, 3, 1, 1):
+                out = ctx.all_gather(np.full((t, 2), 10.0 * t + ctx.rank, dtype=np.float32))
+                if results:  # the previous call's result survived this one
+                    assert np.array_equal(results[-1], snapshots[-1])
+                results.append(out)
+                snapshots.append(out.copy())
+            return [r.shape[0] for r in results], len(ctx._buffers), ctx.stats.buffers_reused
+
+        results, _ = runtime.run(worker)
+        for rows, pools, reused in results:
+            assert rows == [4, 4, 2, 6, 2, 2]
+            assert pools == 1  # one (op, dtype) key, whatever the shapes
+            assert reused == 3  # calls 3, 5 and 6 fit; call 4 regrows its buffer
 
     def test_mixed_dtype_gather_still_promotes(self):
         runtime = ThreadedRuntime(2)

@@ -141,6 +141,20 @@ class TestInstallation:
         assert len(NULL_TRACER) == 0
         assert NULL_TRACER.filter() == []
 
+    def test_disabled_span_is_one_shared_context_object(self):
+        # no generator per call: every disabled span is the same inert object
+        first = NULL_TRACER.span("a", cat="runtime", kind="comm", track="rank 0")
+        second = NULL_TRACER.span("b")
+        assert first is second
+        with first as span:
+            assert span is first
+            span.set(nbytes=3)
+        with pytest.raises(ValueError):
+            with second:
+                raise ValueError("exceptions propagate")  # __exit__ swallows nothing
+        with first, second:  # reusable and re-entrant
+            pass
+
     def test_threads_spawned_inside_block_see_tracer(self):
         tracer = Tracer()
         observed = []

@@ -118,6 +118,56 @@ class TestRunDecodeAccounting:
         assert by_k[4] > by_k[2] > 0
 
 
+class TestOneKVGatherPerLayer:
+    """Gathered decode issues one all-gather per layer per forward, carrying
+    K and V rows together, and moves exactly the bytes ``run_decode``
+    prices."""
+
+    @pytest.mark.parametrize("runtime", ["threaded", "process"])
+    def test_collectives_and_payload_bytes(self, gpt2, prompt, runtime):
+        from repro.cluster.process_runtime import envelope_overhead_bytes
+        from repro.cluster.wire import frame_overhead_bytes
+
+        max_new_tokens = 5
+        system = _system(gpt2, 2)
+        forwards = len(forward_shapes(len(prompt), max_new_tokens, gpt2.config.max_positions))
+        gathers = gpt2.num_layers * forwards
+        _, stats = generate_distributed(
+            system, prompt, max_new_tokens=max_new_tokens, runtime=runtime
+        )
+        for rank_stats in stats:
+            assert rank_stats.collective_calls == gathers
+        # rank 0's span fills first, so it always holds the larger chunk and
+        # receives sum - max per gather: the per-device figure run_decode prices
+        priced = run_decode(system, prompt, max_new_tokens=max_new_tokens).meta[
+            "kv_gather_bytes_per_device"
+        ]
+        received = stats[0].bytes_received
+        if runtime == "process":  # one framed chunk per ring step at K=2
+            received -= sum(
+                envelope_overhead_bytes(("ring_all_gather", sequence))
+                + frame_overhead_bytes(4)  # a (2, H, rows, F_H) K/V stack
+                for sequence in range(1, gathers + 1)
+            )
+        assert received == priced
+
+    def test_priced_as_one_stacked_collective(self, gpt2):
+        from repro.systems.decode import decode_step_pricing
+
+        system = _system(gpt2, 2)
+        parts = decode_layer_spans(system, 12)
+        config = gpt2.config
+        _, collectives, step_bytes = decode_step_pricing(config, parts, 1, 9)
+        row = 2 * config.num_heads * config.head_dim * 4  # one K row and one V row
+        assert len(collectives) == gpt2.num_layers
+        for layer, layer_collectives in zip(parts, collectives):
+            rows = [max(0, min(part.stop, 9) - part.start) for part in layer]
+            assert layer_collectives == [[r * row for r in rows]]
+        assert step_bytes == sum(
+            sum(chunks) - max(chunks) for (chunks,) in collectives
+        )
+
+
 class TestDistributedAttention:
     """The ISSUE 8 matrix: local-shard attention + log-sum-exp combine must
     reproduce ``generate_cached`` token-for-token under greedy decode across
